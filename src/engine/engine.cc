@@ -17,6 +17,8 @@ using matrix::Index;
 struct Engine::Replica {
   numa::NodeArray<double> storage;
   Index model_dim = 0;
+  /// Set when several workers run column steps on this replica's aux.
+  std::unique_ptr<models::AuxLocks> aux_locks;
 
   double* model() { return storage.data(); }
   double* aux() { return storage.data() + model_dim; }
@@ -86,6 +88,10 @@ Status Engine::Init() {
   aux_dim_ = options_.access == AccessMethod::kColWise
                  ? spec_->AuxDim(*dataset_)
                  : 0;
+  // A replica whose aux several workers patch gets row-block locks (see
+  // models::AuxLocks); a sole writer keeps the plain, unlocked path.
+  std::vector<int> writers(plan_.num_replicas, 0);
+  for (const WorkerPlan& wp : plan_.workers) ++writers[wp.replica_index];
   replicas_.clear();
   for (int r = 0; r < plan_.num_replicas; ++r) {
     auto rep = std::make_unique<Replica>();
@@ -95,6 +101,9 @@ Status Engine::Init() {
     spec_->Project(rep->model(), model_dim_);
     if (aux_dim_ > 0) {
       spec_->RefreshAux(*dataset_, rep->model(), rep->aux());
+      if (writers[r] > 1) {
+        rep->aux_locks = std::make_unique<models::AuxLocks>(aux_dim_);
+      }
     }
     replicas_.push_back(std::move(rep));
   }
@@ -121,6 +130,7 @@ Status Engine::Init() {
   uint64_t sm = options_.seed ^ 0xd1b54a32d192ed03ULL;
   for (int w = 0; w < nw; ++w) worker_rngs_.emplace_back(SplitMix64(sm));
   worker_counters_.assign(nw, numa::AccessCounters{});
+  loss_partials_.assign(nw, 0.0);
   start_barrier_ = std::make_unique<SpinBarrier>(nw + 1);
   end_barrier_ = std::make_unique<SpinBarrier>(nw + 1);
   current_step_.store(options_.step_size);
@@ -164,17 +174,23 @@ void Engine::WorkerLoop(int worker_id) {
   for (;;) {
     start_barrier_->Wait();
     if (quit_.load(std::memory_order_acquire)) break;
+    if (evaluating_loss_) {
+      loss_partials_[worker_id] = PartialLoss(worker_id);
+      end_barrier_->Wait();
+      continue;
+    }
 
     // Random traversal order each epoch (paper Sec. 2.1: "typically some
     // randomness in the ordering is desired").
     rng.Shuffle(wp.work);
 
+    Replica& rep = *replicas_[wp.replica_index];
     models::StepContext ctx;
     ctx.dataset = dataset_;
     ctx.csc = csc_.get();
     ctx.step_size = current_step_.load(std::memory_order_relaxed);
+    ctx.aux_locks = rep.aux_locks.get();
 
-    Replica& rep = *replicas_[wp.replica_index];
     double* model = rep.model();
     double* aux = aux_dim_ > 0 ? rep.aux() : nullptr;
 
@@ -411,33 +427,30 @@ ModelExport Engine::Export() {
   return out;
 }
 
-double Engine::EvaluateLoss() {
+double Engine::PartialLoss(int worker_id) const {
   // Replicas are synchronized at epoch boundaries; replica 0 holds the
-  // consensus. Parallel scan over rows.
+  // consensus. Worker w scores the w-th contiguous slice of the rows.
   const double* model = replicas_[0]->model();
-  const Index n = dataset_->a.rows();
-  const int threads =
-      std::clamp(NumOnlineCpus(), 1, 8);
-  std::vector<double> partial(threads, 0.0);
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (int t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      const Index lo = static_cast<Index>(static_cast<uint64_t>(n) * t /
-                                          threads);
-      const Index hi = static_cast<Index>(static_cast<uint64_t>(n) * (t + 1) /
-                                          threads);
-      double acc = 0.0;
-      for (Index i = lo; i < hi; ++i) {
-        acc += spec_->RowLoss(*dataset_, i, model);
-      }
-      partial[t] = acc;
-    });
-  }
-  for (auto& th : pool) th.join();
+  const uint64_t n = dataset_->a.rows();
+  const uint64_t nw = plan_.num_workers;
+  const Index lo = static_cast<Index>(n * worker_id / nw);
+  const Index hi = static_cast<Index>(n * (worker_id + 1) / nw);
+  double acc = 0.0;
+  for (Index i = lo; i < hi; ++i) acc += spec_->RowLoss(*dataset_, i, model);
+  return acc;
+}
+
+double Engine::EvaluateLoss() {
+  DW_CHECK(initialized_) << "call Init() first";
+  // The scan runs on the (otherwise idle) worker pool.
+  evaluating_loss_ = true;
+  start_barrier_->Wait();
+  end_barrier_->Wait();
+  evaluating_loss_ = false;
   double sum = 0.0;
-  for (double p : partial) sum += p;
-  return sum / std::max<double>(1.0, n) +
+  for (double p : loss_partials_) sum += p;
+  const double* model = replicas_[0]->model();
+  return sum / std::max<double>(1.0, dataset_->a.rows()) +
          spec_->GlobalLossTerm(*dataset_, model);
 }
 

@@ -9,8 +9,10 @@
 // physical CPU through the topology map), one optional asynchronous
 // model-averaging thread (paper Sec. 3.3: "a separate thread averages
 // models, batching many writes together across the cores into one write").
-// Replica updates are lock-free by design; concurrent writes to shared
-// replicas are the Hogwild!-style benign races the paper studies.
+// Model updates are lock-free by design; concurrent writes to shared
+// replicas are the Hogwild!-style benign races the paper studies. The one
+// exception is the column-wise auxiliary vector (a maintained invariant,
+// not a model): workers sharing it patch it under row-block locks.
 #pragma once
 
 #include <atomic>
@@ -92,7 +94,9 @@ class Engine {
   /// inside the training loop where they belong).
   ModelExport Export();
 
-  /// Parallel loss of the consensus model over the full dataset.
+  /// Loss of the consensus model over the full dataset, scanned in
+  /// parallel by the engine's own (otherwise idle) workers, one row slice
+  /// each. Call it between epochs, from the thread that runs them.
   double EvaluateLoss();
 
   /// Plan introspection (valid after Init).
@@ -110,6 +114,7 @@ class Engine {
   struct Replica;
 
   void WorkerLoop(int worker_id);
+  double PartialLoss(int worker_id) const;  // loss sum of one row slice
   void RunWorkPhase();                    // one epoch's work on all workers
   void EpochBoundarySync();               // average + project + aux refresh
   void AveragerLoop();                    // async averaging thread body
@@ -144,6 +149,10 @@ class Engine {
   std::atomic<double> current_step_{0.1};
   std::vector<Rng> worker_rngs_;
   std::vector<numa::AccessCounters> worker_counters_;
+  // Set by EvaluateLoss before it releases the workers: the round scans
+  // the loss into loss_partials_ instead of running an epoch.
+  bool evaluating_loss_ = false;
+  std::vector<double> loss_partials_;
 
   // Async averager.
   std::thread averager_;

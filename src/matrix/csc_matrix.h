@@ -28,7 +28,8 @@ class CscMatrix {
     return static_cast<size_t>(col_ptr_[j + 1] - col_ptr_[j]);
   }
 
-  /// View over column j: indices are the row ids S(j), values are a_ij.
+  /// View over column j: indices are the row ids S(j) in ascending order,
+  /// values are a_ij.
   SparseVectorView Col(Index j) const {
     const int64_t begin = col_ptr_[j];
     return SparseVectorView{row_idx_.data() + begin, values_.data() + begin,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <mutex>
 
 #include "kernels/score_kernels.h"
 #include "util/logging.h"
@@ -33,6 +34,76 @@ void GlmSpec::RefreshAux(const Dataset& d, const double* model,
   for (Index i = 0; i < d.a.rows(); ++i) {
     aux[i] = d.a.Row(i).Dot(model);
   }
+}
+
+// ------------------------------------------------ column-step writes ----
+//
+// Relaxed atomic access to replica entries that other workers may write
+// concurrently. On x86 these are plain moves; they let TSan check the
+// column path (C++17 has no std::atomic_ref).
+
+namespace {
+
+double LoadRelaxed(const double* p) {
+  double v = 0.0;
+  __atomic_load(p, &v, __ATOMIC_RELAXED);
+  return v;
+}
+
+void StoreRelaxed(double* p, double v) {
+  __atomic_store(p, &v, __ATOMIC_RELAXED);
+}
+
+void AddAtomic(double* p, double v) {
+  double cur = LoadRelaxed(p);
+  double next = cur + v;
+  while (!__atomic_compare_exchange(p, &cur, &next, /*weak=*/true,
+                                    __ATOMIC_RELAXED, __ATOMIC_RELAXED)) {
+    next = cur + v;
+  }
+}
+
+}  // namespace
+
+// `col` comes by value: were the caller's view to escape by address, GCC
+// would reload its fields around every atomic load of the delta loop.
+void GlmSpec::ApplyColumnDelta(const StepContext& ctx, Index j,
+                               SparseVectorView col, double delta,
+                               double* model, double* aux) {
+  AuxLocks* locks = ctx.aux_locks;
+  if (locks == nullptr) {
+    model[j] += delta;
+    for (size_t k = 0; k < col.nnz; ++k) {
+      aux[col.indices[k]] += delta * col.values[k];
+    }
+    return;
+  }
+  AddAtomic(&model[j], delta);
+  // Column row indices ascend (CscMatrix::Col), so each row block is one
+  // run of the column. Patch the runs from the first one at or after block
+  // j mod blocks to the end, then wrap round to those before it.
+  constexpr uint64_t kRows = AuxLocks::kRowsPerLock;
+  const Index* rows = col.indices;
+  const double* vals = col.values;
+  const auto patch = [&](size_t lo, size_t hi) {
+    while (lo < hi) {
+      const uint64_t block = rows[lo] / kRows;
+      const size_t end = static_cast<size_t>(
+          std::lower_bound(rows + lo, rows + hi, (block + 1) * kRows) - rows);
+      std::lock_guard<SpinLock> guard(locks->block(block));
+      for (size_t k = lo; k < end; ++k) {
+        // The lock excludes other writers, so the plain read is race-free.
+        double* slot = &aux[rows[k]];
+        StoreRelaxed(slot, *slot + delta * vals[k]);
+      }
+      lo = end;
+    }
+  };
+  const uint64_t first_row = (j % locks->num_blocks()) * kRows;
+  const size_t start = static_cast<size_t>(
+      std::lower_bound(rows, rows + col.nnz, first_row) - rows);
+  patch(start, col.nnz);
+  patch(0, start);
 }
 
 // ------------------------------------------------- batched scoring ----
@@ -118,12 +189,9 @@ void SvmSpec::ColStep(const StepContext& ctx, Index j, double* model,
   const SparseVectorView col = ctx.csc->Col(j);
   if (col.nnz == 0) return;
   const double delta = SvmCoordinateDelta(
-      d, col, ctx.step_size, [aux](Index i) { return aux[i]; });
+      d, col, ctx.step_size, [aux](Index i) { return LoadRelaxed(aux + i); });
   if (delta == 0.0) return;
-  model[j] += delta;
-  for (size_t k = 0; k < col.nnz; ++k) {
-    aux[col.indices[k]] += delta * col.values[k];
-  }
+  ApplyColumnDelta(ctx, j, col, delta, model, aux);
 }
 
 void SvmSpec::CtrStep(const StepContext& ctx, Index j, double* model,
@@ -177,12 +245,9 @@ void LogisticSpec::ColStep(const StepContext& ctx, Index j, double* model,
   const SparseVectorView col = ctx.csc->Col(j);
   if (col.nnz == 0) return;
   const double delta = LogisticCoordinateDelta(
-      d, col, ctx.step_size, [aux](Index i) { return aux[i]; });
+      d, col, ctx.step_size, [aux](Index i) { return LoadRelaxed(aux + i); });
   if (delta == 0.0) return;
-  model[j] += delta;
-  for (size_t k = 0; k < col.nnz; ++k) {
-    aux[col.indices[k]] += delta * col.values[k];
-  }
+  ApplyColumnDelta(ctx, j, col, delta, model, aux);
 }
 
 void LogisticSpec::CtrStep(const StepContext& ctx, Index j, double* model,
@@ -237,15 +302,11 @@ void LeastSquaresSpec::ColStep(const StepContext& ctx, Index j, double* model,
   double denom = 0.0;
   for (size_t k = 0; k < col.nnz; ++k) {
     const Index i = col.indices[k];
-    num += col.values[k] * (aux[i] - d.b[i]);
+    num += col.values[k] * (LoadRelaxed(aux + i) - d.b[i]);
     denom += col.values[k] * col.values[k];
   }
   if (denom <= 0.0) return;
-  const double delta = -num / denom;
-  model[j] += delta;
-  for (size_t k = 0; k < col.nnz; ++k) {
-    aux[col.indices[k]] += delta * col.values[k];
-  }
+  ApplyColumnDelta(ctx, j, col, -num / denom, model, aux);
 }
 
 void LeastSquaresSpec::CtrStep(const StepContext& ctx, Index j, double* model,

@@ -6,6 +6,15 @@
 // The SCD auxiliary vector holds, per row i, the current margin
 // m_i = a_i . x (so coordinate updates only read column j and patch the
 // margins of rows in S(j) -- a pure column access).
+//
+// Concurrency contract of the column steps (see model_spec.h): workers
+// sharing one replica never lose an aux write -- with
+// StepContext::aux_locks set, each patch is applied one row block at a
+// time under that block's lock, and model[j] is added atomically. Reads of
+// aux are relaxed atomic loads and may miss a step still in flight on
+// another worker; the exact coordinate minimizer tolerates that staleness,
+// but not lost writes, which no later step repairs. RefreshAux is needed
+// only after averaging.
 #pragma once
 
 #include <algorithm>
@@ -110,6 +119,15 @@ class GlmSpec : public ModelSpec {
   /// Link function the batched kernel applies to the raw margin a . x;
   /// identity for SVM/LS, sigmoid for LR. Must agree with Predict().
   virtual double Link(double margin) const { return margin; }
+
+  /// The write half of every GLM ColStep: model[j] += delta and
+  /// aux[i] += delta * a_ij for each row i of column `col`. Without
+  /// ctx.aux_locks the patch is plain; with them it takes each row
+  /// block's lock in turn, starting at a block rotated by `j` so that
+  /// concurrent steps begin in different blocks.
+  static void ApplyColumnDelta(const StepContext& ctx, matrix::Index j,
+                               matrix::SparseVectorView col,
+                               double delta, double* model, double* aux);
 };
 
 /// Support vector machine with hinge loss (1/N) sum max(0, 1 - y_i a_i.x).

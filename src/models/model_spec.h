@@ -13,14 +13,25 @@
 // declares its size and RefreshAux() rebuilds it after model averaging.
 // This is exactly why the paper's rule of thumb pairs SCD with PerMachine:
 // the auxiliary state makes frequent cross-replica averaging expensive.
+//
+// Unlike the model itself, whose Hogwild! races the algorithm tolerates,
+// the auxiliary vector is an invariant: a lost patch stays wrong until the
+// next rebuild. When several workers share one replica the engine hands
+// their column steps an AuxLocks table (StepContext::aux_locks), and a
+// column step then never loses an aux write. A read of aux may still miss
+// a step that is in flight on another worker (the usual Hogwild!
+// staleness). RefreshAux() is needed only after averaging replaces the
+// model under the aux.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "data/dataset.h"
 #include "matrix/csc_matrix.h"
 #include "matrix/sparse_vector.h"
+#include "util/barrier.h"
 #include "util/logging.h"
 
 namespace dw::models {
@@ -29,11 +40,35 @@ namespace dw::models {
 /// or the full model (paper Sec. 3.2, sparse vs. dense update).
 enum class UpdateSparsity { kSparse, kDense };
 
+/// Locks over a replica's auxiliary vector shared by several workers: one
+/// spinlock per kRowsPerLock consecutive entries, each on its own cache
+/// line. A column step patches aux one row block at a time, holding that
+/// block's lock.
+class AuxLocks {
+ public:
+  static constexpr size_t kRowsPerLock = 512;
+
+  explicit AuxLocks(size_t aux_dim)
+      : blocks_((aux_dim + kRowsPerLock - 1) / kRowsPerLock) {}
+
+  size_t num_blocks() const { return blocks_.size(); }
+  SpinLock& block(size_t b) { return blocks_[b].mu; }
+
+ private:
+  struct alignas(64) PaddedLock {
+    SpinLock mu;
+  };
+  std::vector<PaddedLock> blocks_;
+};
+
 /// Read-only context handed to every step function.
 struct StepContext {
   const data::Dataset* dataset = nullptr;      ///< A, b, c
   const matrix::CscMatrix* csc = nullptr;      ///< column index (col/ctr)
   double step_size = 0.1;                      ///< current SGD step
+  /// Locks of the replica's aux when other workers write it concurrently;
+  /// null when the caller is its only writer (plain, unlocked patches).
+  AuxLocks* aux_locks = nullptr;
 };
 
 /// Interface one statistical model implements. Implementations are
@@ -52,10 +87,14 @@ class ModelSpec {
   }
 
   /// Size of the auxiliary state maintained next to the model (0 if none).
+  /// Concurrent ColSteps on one replica never lose an aux write when the
+  /// context carries the replica's AuxLocks; their reads may miss a step
+  /// still in flight on another worker.
   virtual size_t AuxDim(const data::Dataset&) const { return 0; }
 
   /// Rebuilds the auxiliary state from scratch for the given model (one
-  /// full pass over the data). Called at init and after model averaging.
+  /// full pass over the data). Called at init and after model averaging,
+  /// the only event that invalidates it.
   virtual void RefreshAux(const data::Dataset&, const double* /*model*/,
                           double* /*aux*/) const {}
 

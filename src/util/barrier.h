@@ -48,8 +48,9 @@ class SpinBarrier {
   std::atomic<bool> sense_{false};
 };
 
-/// Tiny test-and-test-and-set spinlock (used only on cold paths such as
-/// metrics aggregation; the hot data path is lock-free by design).
+/// Tiny test-and-test-and-set spinlock for short critical sections:
+/// metrics aggregation, and the row-block patches of a shared column-wise
+/// aux vector (models::AuxLocks). Model updates stay lock-free by design.
 class SpinLock {
  public:
   void lock() {

@@ -331,6 +331,23 @@ TEST(EngineTest, ConsensusModelAveragesReplicas) {
   EXPECT_GT(norm, 0.0);  // training moved the model
 }
 
+TEST(EngineTest, EvaluateLossMatchesSequentialLossOfConsensus) {
+  const Dataset d = SmallSparse();
+  models::LogisticSpec lr;
+  for (int workers : {1, 2}) {
+    EngineOptions opts = SmallTopoOptions();
+    opts.workers_per_node = workers;
+    Engine engine(&d, &lr, opts);
+    ASSERT_TRUE(engine.Init().ok());
+    for (int e = 0; e < 3; ++e) {
+      (void)engine.RunEpochNoEval();
+      const std::vector<double> consensus = engine.ConsensusModel();
+      EXPECT_NEAR(engine.EvaluateLoss(), lr.Loss(d, consensus.data()), 1e-12)
+          << workers << " workers per node, epoch " << e;
+    }
+  }
+}
+
 TEST(EngineTest, StopLossEndsRunEarly) {
   const Dataset d = SmallDense();
   models::SvmSpec svm;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 #include <vector>
 
 #include "data/graphs.h"
@@ -473,6 +474,61 @@ TEST(PredictTest, DefaultPredictIsLinearDecisionValue) {
   SvmSpec svm;
   const double model[3] = {1.0, 5.0, -1.0};
   EXPECT_DOUBLE_EQ(svm.Predict(model, d.a.Row(0)), 2.0 - 3.0);
+}
+
+// --- concurrent column steps ----------------------------------------------
+
+// Workers sharing one replica, each stepping its own shard of the columns
+// (the PerMachine column-wise plan): with AuxLocks in the context no aux
+// write is lost, so aux still equals A.x exactly when they are done. Every
+// column touches every row, so the steps collide on aux all the time.
+void ExpectConcurrentColStepsKeepAuxExact(const ModelSpec& spec,
+                                          const Dataset& d, double step) {
+  const CscMatrix csc = CscMatrix::FromCsr(d.a);
+  const Index cols = d.a.cols();
+  std::vector<double> model(cols, 0.0);
+  std::vector<double> aux(spec.AuxDim(d));
+  spec.RefreshAux(d, model.data(), aux.data());
+  AuxLocks locks(aux.size());
+  ASSERT_GT(locks.num_blocks(), 1u);
+
+  constexpr int kWorkers = 4;
+  std::vector<std::thread> pool;
+  for (int w = 0; w < kWorkers; ++w) {
+    pool.emplace_back([&, w] {
+      StepContext ctx{&d, &csc, step, &locks};
+      for (int pass = 0; pass < 3; ++pass) {
+        for (Index j = w; j < cols; j += kWorkers) {
+          spec.ColStep(ctx, j, model.data(), aux.data());
+        }
+      }
+    });
+  }
+  for (auto& t : pool) t.join();
+
+  std::vector<double> exact(aux.size());
+  spec.RefreshAux(d, model.data(), exact.data());
+  for (size_t i = 0; i < aux.size(); ++i) {
+    ASSERT_NEAR(aux[i], exact[i], 1e-9 * (1.0 + std::fabs(exact[i])))
+        << spec.name() << " row " << i;
+  }
+}
+
+TEST(ConcurrentColStepTest, LeastSquaresKeepsAuxExact) {
+  LeastSquaresSpec ls;
+  ExpectConcurrentColStepsKeepAuxExact(ls, TinyRegression(2000, 32, 41), 1.0);
+}
+
+TEST(ConcurrentColStepTest, SvmKeepsAuxExact) {
+  SvmSpec svm;
+  ExpectConcurrentColStepsKeepAuxExact(svm, TinyClassification(2000, 32, 43),
+                                       0.1);
+}
+
+TEST(ConcurrentColStepTest, LogisticKeepsAuxExact) {
+  LogisticSpec lr;
+  ExpectConcurrentColStepsKeepAuxExact(lr, TinyClassification(2000, 32, 45),
+                                       0.1);
 }
 
 // --- parallel sum ----------------------------------------------------------
