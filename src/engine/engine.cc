@@ -130,7 +130,6 @@ Status Engine::Init() {
   uint64_t sm = options_.seed ^ 0xd1b54a32d192ed03ULL;
   for (int w = 0; w < nw; ++w) worker_rngs_.emplace_back(SplitMix64(sm));
   worker_counters_.assign(nw, numa::AccessCounters{});
-  loss_partials_.assign(nw, 0.0);
   start_barrier_ = std::make_unique<SpinBarrier>(nw + 1);
   end_barrier_ = std::make_unique<SpinBarrier>(nw + 1);
   current_step_.store(options_.step_size);
@@ -175,7 +174,8 @@ void Engine::WorkerLoop(int worker_id) {
     start_barrier_->Wait();
     if (quit_.load(std::memory_order_acquire)) break;
     if (evaluating_loss_) {
-      loss_partials_[worker_id] = PartialLoss(worker_id);
+      loss_partials_[worker_id] =
+          PartialLoss(worker_id, static_cast<int>(loss_partials_.size()));
       end_barrier_->Wait();
       continue;
     }
@@ -427,14 +427,13 @@ ModelExport Engine::Export() {
   return out;
 }
 
-double Engine::PartialLoss(int worker_id) const {
+double Engine::PartialLoss(int slice, int num_slices) const {
   // Replicas are synchronized at epoch boundaries; replica 0 holds the
-  // consensus. Worker w scores the w-th contiguous slice of the rows.
+  // consensus. Slice s is the s-th of num_slices contiguous row ranges.
   const double* model = replicas_[0]->model();
   const uint64_t n = dataset_->a.rows();
-  const uint64_t nw = plan_.num_workers;
-  const Index lo = static_cast<Index>(n * worker_id / nw);
-  const Index hi = static_cast<Index>(n * (worker_id + 1) / nw);
+  const Index lo = static_cast<Index>(n * slice / num_slices);
+  const Index hi = static_cast<Index>(n * (slice + 1) / num_slices);
   double acc = 0.0;
   for (Index i = lo; i < hi; ++i) acc += spec_->RowLoss(*dataset_, i, model);
   return acc;
@@ -442,9 +441,21 @@ double Engine::PartialLoss(int worker_id) const {
 
 double Engine::EvaluateLoss() {
   DW_CHECK(initialized_) << "call Init() first";
-  // The scan runs on the (otherwise idle) worker pool.
+  // The workers, idle between epochs, scan one row slice each: threads
+  // spawned beside them would compete with them spinning at the barrier.
+  // An engine with fewer workers than the CPUs a parallel scan would use
+  // gets helper threads for the remaining slices.
+  const int num_workers = plan_.num_workers;
+  const int slices = std::max(num_workers, std::clamp(NumOnlineCpus(), 1, 8));
+  loss_partials_.assign(slices, 0.0);
+  std::vector<std::thread> helpers;
+  for (int s = num_workers; s < slices; ++s) {
+    helpers.emplace_back(
+        [this, s, slices] { loss_partials_[s] = PartialLoss(s, slices); });
+  }
   evaluating_loss_ = true;
   start_barrier_->Wait();
+  for (std::thread& t : helpers) t.join();
   end_barrier_->Wait();
   evaluating_loss_ = false;
   double sum = 0.0;

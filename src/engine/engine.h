@@ -96,7 +96,9 @@ class Engine {
 
   /// Loss of the consensus model over the full dataset, scanned in
   /// parallel by the engine's own (otherwise idle) workers, one row slice
-  /// each. Call it between epochs, from the thread that runs them.
+  /// each, plus helper threads when the workers are fewer than the CPUs
+  /// (at most 8) a parallel scan would use. It releases the workers as an
+  /// epoch does, so call it between epochs, from the thread that runs them.
   double EvaluateLoss();
 
   /// Plan introspection (valid after Init).
@@ -114,7 +116,7 @@ class Engine {
   struct Replica;
 
   void WorkerLoop(int worker_id);
-  double PartialLoss(int worker_id) const;  // loss sum of one row slice
+  double PartialLoss(int slice, int num_slices) const;  // one row slice
   void RunWorkPhase();                    // one epoch's work on all workers
   void EpochBoundarySync();               // average + project + aux refresh
   void AveragerLoop();                    // async averaging thread body

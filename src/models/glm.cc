@@ -80,30 +80,46 @@ void GlmSpec::ApplyColumnDelta(const StepContext& ctx, Index j,
   }
   AddAtomic(&model[j], delta);
   // Column row indices ascend (CscMatrix::Col), so each row block is one
-  // run of the column. Patch the runs from the first one at or after block
-  // j mod blocks to the end, then wrap round to those before it.
+  // run of the column. A run whose block another worker holds is put off
+  // rather than waited for: waiting lines the workers up behind each other
+  // block after block. The put-off runs are patched after the others.
   constexpr uint64_t kRows = AuxLocks::kRowsPerLock;
+  constexpr int kMaxPutOff = 32;
   const Index* rows = col.indices;
   const double* vals = col.values;
-  const auto patch = [&](size_t lo, size_t hi) {
-    while (lo < hi) {
-      const uint64_t block = rows[lo] / kRows;
-      const size_t end = static_cast<size_t>(
-          std::lower_bound(rows + lo, rows + hi, (block + 1) * kRows) - rows);
-      std::lock_guard<SpinLock> guard(locks->block(block));
-      for (size_t k = lo; k < end; ++k) {
-        // The lock excludes other writers, so the plain read is race-free.
-        double* slot = &aux[rows[k]];
-        StoreRelaxed(slot, *slot + delta * vals[k]);
-      }
-      lo = end;
+  const auto patch_run = [&](size_t lo, size_t end) {
+    for (size_t k = lo; k < end; ++k) {
+      // The lock excludes other writers, so the plain read is race-free.
+      double* slot = &aux[rows[k]];
+      StoreRelaxed(slot, *slot + delta * vals[k]);
     }
   };
-  const uint64_t first_row = (j % locks->num_blocks()) * kRows;
-  const size_t start = static_cast<size_t>(
-      std::lower_bound(rows, rows + col.nnz, first_row) - rows);
-  patch(start, col.nnz);
-  patch(0, start);
+  size_t put_off[kMaxPutOff][2];
+  int num_put_off = 0;
+  for (size_t lo = 0; lo < col.nnz;) {
+    const uint64_t block = rows[lo] / kRows;
+    const size_t end = static_cast<size_t>(
+        std::lower_bound(rows + lo, rows + col.nnz, (block + 1) * kRows) -
+        rows);
+    SpinLock& mu = locks->block(block);
+    if (mu.try_lock()) {
+      patch_run(lo, end);
+      mu.unlock();
+    } else if (num_put_off < kMaxPutOff) {
+      put_off[num_put_off][0] = lo;
+      put_off[num_put_off][1] = end;
+      ++num_put_off;
+    } else {
+      std::lock_guard<SpinLock> guard(mu);
+      patch_run(lo, end);
+    }
+    lo = end;
+  }
+  for (int p = 0; p < num_put_off; ++p) {
+    const size_t lo = put_off[p][0];
+    std::lock_guard<SpinLock> guard(locks->block(rows[lo] / kRows));
+    patch_run(lo, put_off[p][1]);
+  }
 }
 
 // ------------------------------------------------- batched scoring ----

@@ -122,9 +122,9 @@ class GlmSpec : public ModelSpec {
 
   /// The write half of every GLM ColStep: model[j] += delta and
   /// aux[i] += delta * a_ij for each row i of column `col`. Without
-  /// ctx.aux_locks the patch is plain; with them it takes each row
-  /// block's lock in turn, starting at a block rotated by `j` so that
-  /// concurrent steps begin in different blocks.
+  /// ctx.aux_locks the patch is plain; with them it patches each row
+  /// block under that block's lock, putting off a block another worker
+  /// holds until the column's other blocks are done.
   static void ApplyColumnDelta(const StepContext& ctx, matrix::Index j,
                                matrix::SparseVectorView col,
                                double delta, double* model, double* aux);

@@ -61,6 +61,14 @@ class SpinLock {
     locked_hint_.store(true, std::memory_order_relaxed);
   }
 
+  /// Takes the lock only if it is free; never waits.
+  bool try_lock() {
+    if (locked_hint_.load(std::memory_order_relaxed)) return false;
+    if (flag_.test_and_set(std::memory_order_acquire)) return false;
+    locked_hint_.store(true, std::memory_order_relaxed);
+    return true;
+  }
+
   void unlock() {
     locked_hint_.store(false, std::memory_order_relaxed);
     flag_.clear(std::memory_order_release);
